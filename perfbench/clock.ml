@@ -1,0 +1,2 @@
+(* The benchmark's one clock: monotonic, in seconds. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
