@@ -967,6 +967,11 @@ let micro () =
            Staged.stage (fun () -> Optimal.optimize ~cache:warm ctx validity ~batch:16));
         Test.make ~name:"dram/replay_1MB"
           (Staged.stage (fun () -> Compass_dram.Dram.simulate trace));
+        Test.make ~name:"dram/replay_1MB_bank_interleaved"
+          (* Every (bank, row) run is one burst: no streak to collapse. *)
+          (Staged.stage (fun () ->
+               Compass_dram.Dram.simulate ~mapping:Compass_dram.Controller.Bank_interleaved
+                 trace));
       ]
   in
   let cfg = Benchmark.cfg ~limit:400 ~quota:(Time.second 0.5) () in

@@ -17,12 +17,14 @@ let create timing = { timing; row = None; ready = 0; activated_at = min_int / 2 
 
 let open_row t = t.row
 
-let block_until t cycle = t.ready <- max t.ready cycle
+let block_until t cycle = t.ready <- Int.max t.ready cycle
+
+let stream_hits t n = t.ready <- t.ready + (n * Timing.burst_cycles t.timing)
 
 let access t ~now ~row ~write =
   if row < 0 then invalid_arg "Bank.access: negative row";
   let g = t.timing in
-  let start = max now t.ready in
+  let start = Int.max now t.ready in
   let cas_latency = if write then g.Timing.cwl else g.Timing.cl in
   match t.row with
   | Some open_row when open_row = row ->
@@ -34,7 +36,7 @@ let access t ~now ~row ~write =
     let precharged = current <> None in
     (* Respect tRAS before precharging an open row. *)
     let pre_at =
-      if precharged then max start (t.activated_at + g.Timing.tras) else start
+      if precharged then Int.max start (t.activated_at + g.Timing.tras) else start
     in
     let act_at = if precharged then pre_at + g.Timing.trp else pre_at in
     let cas_at = act_at + g.Timing.trcd in

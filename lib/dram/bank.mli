@@ -24,6 +24,13 @@ val access : t -> now:int -> row:int -> write:bool -> outcome
     cycle [now] (or later if the bank is busy), updating the bank state and
     returning the timing outcome.  Row must be non-negative. *)
 
+val stream_hits : t -> int -> unit
+(** [stream_hits bank n] accounts for [n] more column commands to the open
+    row, each [burst_cycles] after the previous one, issued right after the
+    bank's last access: the bank's ready cycle moves [n * burst_cycles]
+    later.  Equivalent to [n] row-hit {!access}es, each at the cycle the
+    bank became ready. *)
+
 val block_until : t -> int -> unit
 (** [block_until bank cycle] prevents any command before [cycle] (used for
     refresh windows). *)

@@ -44,6 +44,8 @@ type cursor = {
   timing : Timing.t;
   mapping : address_mapping;
   banks : Bank.t array;
+  row_bursts : int;  (* bursts per row *)
+  run_bursts : int;  (* aligned bursts replayed as one (bank, row) run *)
   mutable now : int;  (* command-issue cursor *)
   mutable data_bus_free : int;
   mutable last_data_end : int;
@@ -58,10 +60,13 @@ type cursor = {
 }
 
 let create_cursor timing mapping =
+  let row_bursts = timing.Timing.row_bytes / Timing.burst_bytes timing in
   {
     timing;
     mapping;
     banks = Array.init timing.Timing.banks (fun _ -> Bank.create timing);
+    row_bursts;
+    run_bursts = (match mapping with Row_interleaved -> row_bursts | Bank_interleaved -> 1);
     now = 0;
     data_bus_free = 0;
     last_data_end = 0;
@@ -78,7 +83,7 @@ let create_cursor timing mapping =
 (* Address mapping policies (DRAMsim3's address-mapping strings). *)
 let locate cur burst_index =
   let g = cur.timing in
-  let row_bursts = g.Timing.row_bytes / Timing.burst_bytes g in
+  let row_bursts = cur.row_bursts in
   match cur.mapping with
   | Row_interleaved ->
     (* Sequential bursts stream across a 2 KB row, then move to the next
@@ -93,6 +98,11 @@ let locate cur burst_index =
     let within_bank = burst_index / g.Timing.banks in
     let row = within_bank / row_bursts in
     (bank, row)
+
+(* Last burst, capped at [last], of the (bank, row) run that holds [b]. *)
+let run_end cur b last =
+  let n = cur.run_bursts in
+  Int.min last ((((b / n) + 1) * n) - 1)
 
 let refresh_if_due cur =
   let g = cur.timing in
@@ -111,14 +121,45 @@ let burst cur ~bank ~row ~write =
   else cur.row_misses <- cur.row_misses + 1;
   if outcome.Bank.activated then cur.activates <- cur.activates + 1;
   if write then cur.writes <- cur.writes + 1 else cur.reads <- cur.reads + 1;
-  let data_start = max outcome.Bank.data_cycle cur.data_bus_free in
+  let data_start = Int.max outcome.Bank.data_cycle cur.data_bus_free in
   (* Cycles the burst's data sat ready behind an occupied data bus. *)
   cur.bus_stall_cycles <- cur.bus_stall_cycles + (data_start - outcome.Bank.data_cycle);
   let data_end = data_start + Timing.burst_cycles g in
   cur.data_bus_free <- data_end;
-  cur.last_data_end <- max cur.last_data_end data_end;
+  cur.last_data_end <- Int.max cur.last_data_end data_end;
   (* Next command may issue while this data moves; banks stay the limiter. *)
-  cur.now <- max cur.now outcome.Bank.issue_cycle
+  cur.now <- Int.max cur.now outcome.Bank.issue_cycle
+
+(* [n] more bursts of the same kind to the row the last burst left open in
+   [bank].  Right after that burst, [now] is its issue cycle, the bank is
+   ready [bc] later and the data bus frees when its data ends, so every
+   further hit issues [bc] later, starts on the bus as the previous data
+   ends (same stall) and ends [bc] later.  That holds until a refresh
+   falls due; the burst that meets it takes the general step. *)
+let rec streak cur ~bank ~row ~write n =
+  if n > 0 then
+    if cur.now >= cur.next_refresh then begin
+      burst cur ~bank ~row ~write;
+      streak cur ~bank ~row ~write (n - 1)
+    end
+    else begin
+      let g = cur.timing in
+      let bc = Timing.burst_cycles g in
+      let k = Int.min n ((cur.next_refresh - cur.now + bc - 1) / bc) in
+      let cas = if write then g.Timing.cwl else g.Timing.cl in
+      (* The last burst's data started at [data_bus_free - bc] and was
+         ready at [now + cas]. *)
+      let stall = cur.data_bus_free - bc - (cur.now + cas) in
+      let span = k * bc in
+      cur.row_hits <- cur.row_hits + k;
+      if write then cur.writes <- cur.writes + k else cur.reads <- cur.reads + k;
+      cur.bus_stall_cycles <- cur.bus_stall_cycles + (k * stall);
+      Bank.stream_hits cur.banks.(bank) k;
+      cur.now <- cur.now + span;
+      cur.data_bus_free <- cur.data_bus_free + span;
+      cur.last_data_end <- cur.last_data_end + span;
+      streak cur ~bank ~row ~write (n - k)
+    end
 
 let run ?(timing = Timing.lpddr3_1600) ?(energy = default_energy)
     ?(mapping = Row_interleaved) records =
@@ -129,9 +170,14 @@ let run ?(timing = Timing.lpddr3_1600) ?(energy = default_energy)
       invalid_arg "Controller.run: record beyond device capacity";
     let first = r.Trace.addr / burst_sz in
     let last = (r.Trace.addr + r.Trace.bytes - 1) / burst_sz in
-    for b = first to last do
-      let bank, row = locate cur b in
-      burst cur ~bank ~row ~write:(r.Trace.kind = Trace.Write)
+    let write = r.Trace.kind = Trace.Write in
+    let b = ref first in
+    while !b <= last do
+      let bank, row = locate cur !b in
+      let stop = run_end cur !b last in
+      burst cur ~bank ~row ~write;
+      streak cur ~bank ~row ~write (stop - !b);
+      b := stop + 1
     done
   in
   List.iter replay records;

@@ -4,7 +4,23 @@
 
     The model is throughput-oriented: requests are replayed back-to-back
     (the queue is never empty), which matches how the compiler uses DRAM —
-    bulk weight and activation streams whose cost is bandwidth-bound. *)
+    bulk weight and activation streams whose cost is bandwidth-bound.
+
+    {b Streak replay.}  Within a record, consecutive bursts that share a
+    (bank, row) form a streak: up to [row_bytes / burst_bytes] bursts
+    under [Row_interleaved], one burst under [Bank_interleaved].  The
+    first burst of a streak takes the general step: refresh check, bank
+    access, data-bus arbitration.  After any burst, [now] is its issue
+    cycle, its bank is ready [bc = burst_cycles] later and the data bus
+    frees as its data ends.  A further burst to the same bank and the same
+    open row, of the same kind (read or write), with no refresh due
+    ([now < next_refresh]), therefore issues exactly [bc] later, starts on
+    the bus as the previous data ends (so it repeats that burst's bus
+    stall) and ends [bc] later.  The remaining [n] bursts of a streak are
+    replayed [k = min n ⌈(next_refresh - now) / bc⌉] at a time; the burst
+    that finds a refresh due takes the general step, which issues at most
+    one refresh per burst.  The stats are identical, field for field, to
+    replaying every burst through the general step. *)
 
 type address_mapping =
   | Row_interleaved

@@ -2,9 +2,14 @@
 
     [simulate] is the trace-accurate path (the DRAMsim3 substitute);
     [analytic_*] expose the closed-form streaming approximations used inside
-    the GA fitness loop, where replaying a trace per candidate would be
-    prohibitive.  Tests assert the two agree within a small factor on
-    streaming workloads. *)
+    the GA fitness loop.  Replay itself is cheap: it takes one row streak
+    per step, 30–60 us per streamed MB (bench [micro],
+    [dram/replay_1MB]) and about 800 M bursts per host second over the
+    Fig. 6/8 grid's plans (perfbench [simulate_grid --trace 1]), both on a
+    2-vCPU x86-64 host.  A trace only exists once a plan is scheduled and
+    simulated, though, which costs more than the replay and far more than
+    the closed form, so the fitness loop keeps the closed form.  Tests
+    assert the two agree within a small factor on streaming workloads. *)
 
 val simulate :
   ?timing:Timing.t ->

@@ -31,6 +31,7 @@ let make ?(tck_s = 1.25e-9) ?(burst_length = 8) ?(bus_width_bits = 32) ?(cl = 12
   positive "trefi" trefi;
   positive "banks" banks;
   positive "row_bytes" row_bytes;
+  if trefi <= trfc then invalid_arg "Timing.make: trefi must exceed trfc";
   if bus_width_bits mod 8 <> 0 then invalid_arg "Timing.make: bus width must be bytes";
   if capacity_bytes <= 0. then invalid_arg "Timing.make: non-positive capacity";
   {

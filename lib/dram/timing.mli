@@ -14,7 +14,12 @@ type t = {
   trp : int;  (** Precharge time. *)
   tras : int;  (** Minimum row-open time. *)
   trfc : int;  (** Refresh cycle time. *)
-  trefi : int;  (** Average refresh interval. *)
+  trefi : int;
+      (** Average refresh interval; longer than [trfc].  The controller
+          checks for a due refresh before each burst and issues at most one
+          refresh per burst: if the command cursor has passed several
+          deadlines, the later refreshes go to the following bursts, one
+          each. *)
   banks : int;
   row_bytes : int;  (** Page size per bank. *)
   capacity_bytes : float;
@@ -40,7 +45,10 @@ val make :
   ?capacity_bytes:float ->
   unit ->
   t
-(** Parameterized constructor with positivity checks. *)
+(** Parameterized constructor with positivity checks.  Raises
+    [Invalid_argument "Timing.make: trefi must exceed trfc"] when the
+    refresh interval is not longer than the refresh itself: the controller
+    would then fall ever further behind the refresh schedule. *)
 
 val burst_bytes : t -> int
 (** Bytes moved per burst ([bus_width/8 * burst_length] = 32). *)

@@ -21,6 +21,18 @@ let test_timing_validation () =
        false
      with Invalid_argument _ -> true)
 
+let test_trefi_must_exceed_trfc () =
+  let rejects ~trfc ~trefi =
+    match Timing.make ~trfc ~trefi () with
+    | _ -> false
+    | exception Invalid_argument msg ->
+      msg = "Timing.make: trefi must exceed trfc"
+  in
+  Alcotest.(check bool) "trefi = trfc" true (rejects ~trfc:104 ~trefi:104);
+  Alcotest.(check bool) "trefi < trfc" true (rejects ~trfc:104 ~trefi:50);
+  Alcotest.(check int) "trefi > trfc accepted" 105
+    (Timing.make ~trfc:104 ~trefi:105 ()).Timing.trefi
+
 (* Bank *)
 
 let test_bank_first_access_is_miss () =
@@ -194,6 +206,153 @@ let test_bank_interleaved_helps_strided () =
   Alcotest.(check bool) "bank rotation is not slower" true
     (bank.Controller.seconds <= row.Controller.seconds +. 1e-9)
 
+(* Streak replay vs one burst per record.  The controller replays a run of
+   row hits in one step; a record no longer than one burst never forms such
+   a run, so replaying every record split at burst boundaries is the
+   burst-by-burst oracle. *)
+
+let split_at_bursts timing records =
+  let size = Timing.burst_bytes timing in
+  List.concat_map
+    (fun (r : Trace.record) ->
+      let stop = r.Trace.addr + r.Trace.bytes in
+      let rec pieces addr acc =
+        if addr >= stop then List.rev acc
+        else
+          let next = Int.min stop ((addr / size + 1) * size) in
+          pieces next ({ r with Trace.addr; bytes = next - addr } :: acc)
+      in
+      pieces r.Trace.addr [])
+    records
+
+let pp_stats (s : Controller.stats) =
+  Printf.sprintf
+    "cycles=%d seconds=%h bytes=%h reads=%d writes=%d hits=%d misses=%d act=%d \
+     ref=%d stall=%d energy=%h background=%h"
+    s.Controller.cycles s.Controller.seconds s.Controller.bytes s.Controller.reads
+    s.Controller.writes s.Controller.row_hits s.Controller.row_misses
+    s.Controller.activates s.Controller.refreshes s.Controller.bus_stall_cycles
+    s.Controller.energy_j s.Controller.background_j
+
+let check_matches_oracle ?(timing = g) ?(mapping = Controller.Row_interleaved) name
+    records =
+  let run rs = pp_stats (Controller.run ~timing ~mapping rs) in
+  Alcotest.(check string) name (run (split_at_bursts timing records)) (run records)
+
+let test_split_keeps_bytes () =
+  let records = [ Trace.read ~addr:20 ~bytes:100 (); Trace.write ~addr:64 ~bytes:32 () ] in
+  let split = split_at_bursts g records in
+  Alcotest.(check (list (pair int int)))
+    "pieces"
+    [ (20, 12); (32, 32); (64, 32); (96, 24); (64, 32) ]
+    (List.map (fun (r : Trace.record) -> (r.Trace.addr, r.Trace.bytes)) split);
+  Alcotest.(check (float 0.)) "bytes" (Trace.total_bytes records) (Trace.total_bytes split)
+
+let test_streak_meets_refresh_exactly () =
+  (* The first burst opens row 0 and issues at tRCD = 15; hits follow every
+     4 cycles, so the sixth streak burst finds now = 35 = next_refresh. *)
+  let timing = Timing.make ~trfc:10 ~trefi:35 () in
+  let records = [ Trace.read ~addr:0 ~bytes:(64 * 32) () ] in
+  let stats = Controller.run ~timing records in
+  Alcotest.(check int) "reads" 64 stats.Controller.reads;
+  Alcotest.(check bool) "refreshes inside the run" true (stats.Controller.refreshes > 1);
+  check_matches_oracle ~timing "refresh at now = next_refresh" records
+
+let test_write_after_read_same_row () =
+  let records = [ Trace.read ~addr:0 ~bytes:256 (); Trace.write ~addr:256 ~bytes:256 () ] in
+  let stats = Controller.run records in
+  Alcotest.(check int) "one activate" 1 stats.Controller.activates;
+  Alcotest.(check int) "hits" 15 stats.Controller.row_hits;
+  check_matches_oracle "read then write" records;
+  (* Writes see the shorter CAS latency, so their data waits on the bus. *)
+  Alcotest.(check bool) "write bursts stall" true (stats.Controller.bus_stall_cycles > 0)
+
+let test_record_continues_row () =
+  let records =
+    [
+      Trace.read ~addr:0 ~bytes:100 ();
+      Trace.read ~addr:100 ~bytes:900 ();
+      Trace.read ~addr:1000 ~bytes:3000 ();
+    ]
+  in
+  let stats = Controller.run records in
+  Alcotest.(check int) "two rows opened" 2 stats.Controller.activates;
+  check_matches_oracle "continued row" records;
+  check_matches_oracle ~mapping:Controller.Bank_interleaved "bank interleaved" records
+
+let gen_timing =
+  let open QCheck.Gen in
+  let* burst_length = int_range 1 16 in
+  let* bus_bytes = oneofl [ 1; 2; 4; 8 ] in
+  let burst = bus_bytes * burst_length in
+  let* row_bytes = int_range burst (64 * burst) in
+  let* cl = int_range 1 20 in
+  let* cwl = int_range 1 19 in
+  let cwl = if cwl >= cl then cwl + 1 else cwl in
+  let* trcd = int_range 1 30 in
+  let* trp = int_range 1 30 in
+  let* tras = int_range 1 60 in
+  let* trfc = int_range 1 40 in
+  (* Short intervals so runs of hits cross refresh deadlines. *)
+  let* trefi = map (fun extra -> trfc + extra) (int_range 1 200) in
+  let+ banks = int_range 1 8 in
+  Timing.make ~burst_length ~bus_width_bits:(8 * bus_bytes) ~cl ~cwl ~trcd ~trp ~tras
+    ~trfc ~trefi ~banks ~row_bytes ()
+
+(* Records either continue the previous one or jump; both kinds. *)
+let gen_records =
+  let open QCheck.Gen in
+  let* n = int_range 1 12 in
+  let rec go n next acc =
+    if n = 0 then return (List.rev acc)
+    else
+      let* continue = bool in
+      let* jump = int_range 0 20_000 in
+      let* bytes = int_range 1 3_000 in
+      let* write = bool in
+      let addr = if continue then next else jump in
+      let r = if write then Trace.write ~addr ~bytes () else Trace.read ~addr ~bytes () in
+      go (n - 1) (addr + bytes) (r :: acc)
+  in
+  go n 0 []
+
+let prop_streaks_match_bursts =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (frequency [ (1, return g); (3, gen_timing) ])
+        (oneofl [ Controller.Row_interleaved; Controller.Bank_interleaved ])
+        gen_records)
+  in
+  let print (timing, mapping, records) =
+    Printf.sprintf "trefi=%d trfc=%d banks=%d row=%d burst=%d %s\n%s" timing.Timing.trefi
+      timing.Timing.trfc timing.Timing.banks timing.Timing.row_bytes
+      (Timing.burst_bytes timing)
+      (match mapping with
+      | Controller.Row_interleaved -> "row"
+      | Controller.Bank_interleaved -> "bank")
+      (Trace.to_lines records)
+  in
+  QCheck.Test.make ~name:"streak replay = burst-by-burst replay" ~count:300
+    (QCheck.make ~print gen)
+    (fun (timing, mapping, records) ->
+      let run rs = Controller.run ~timing ~mapping rs in
+      run records = run (split_at_bursts timing records))
+
+(* Golden: the full DRAM stats of one zoo plan, as replayed burst by burst. *)
+let test_golden_squeezenet_s16_greedy () =
+  let open Compass_core in
+  let plan =
+    Compiler.compile ~model:(Compass_nn.Models.squeezenet ())
+      ~chip:Compass_arch.Config.chip_s ~batch:16 Compiler.Greedy
+  in
+  let s = (Compiler.measure plan).Compiler.dram in
+  Alcotest.(check string) "stats"
+    "cycles=259742 seconds=0x1.5472f3e86f959p-12 bytes=0x1.be4ap+20 reads=56875 \
+     writes=250 hits=56231 misses=894 act=894 ref=83 stall=0 \
+     energy=0x1.21d0f9f1e2caap-11 background=0x1.105bf6538c77bp-15"
+    (pp_stats s)
+
 (* Analytic approximations vs the bank-accurate model. *)
 
 let test_analytic_time_close () =
@@ -256,6 +415,7 @@ let () =
           Alcotest.test_case "burst geometry" `Quick test_burst_geometry;
           Alcotest.test_case "peak bandwidth" `Quick test_peak_bandwidth;
           Alcotest.test_case "validation" `Quick test_timing_validation;
+          Alcotest.test_case "trefi must exceed trfc" `Quick test_trefi_must_exceed_trfc;
         ] );
       ( "bank",
         [
@@ -290,6 +450,18 @@ let () =
           QCheck_alcotest.to_alcotest prop_latency_at_least_bandwidth_bound;
           QCheck_alcotest.to_alcotest prop_energy_monotone_in_bytes;
           QCheck_alcotest.to_alcotest prop_hit_rate_bounded;
+        ] );
+      ( "streak",
+        [
+          Alcotest.test_case "split keeps bytes" `Quick test_split_keeps_bytes;
+          Alcotest.test_case "refresh at now = next_refresh" `Quick
+            test_streak_meets_refresh_exactly;
+          Alcotest.test_case "write after read, same row" `Quick
+            test_write_after_read_same_row;
+          Alcotest.test_case "record continues row" `Quick test_record_continues_row;
+          QCheck_alcotest.to_alcotest prop_streaks_match_bursts;
+          Alcotest.test_case "golden squeezenet-S-16 greedy" `Quick
+            test_golden_squeezenet_s16_greedy;
         ] );
       ( "analytic",
         [
